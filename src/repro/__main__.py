@@ -223,9 +223,19 @@ def main(argv: list[str] | None = None) -> int:
 
 # -------------------------------------------------------- observability
 #: friendly aliases -> (registry name, default params) on the small
-#: Engine testbed used by the trace/stats verbs.
-def _obs_command_spec(name: str) -> tuple[str, dict]:
-    iso = {"isovalue": -0.3, "scalar": "pressure", "time_range": (0, 1)}
+#: synthetic testbeds the observability verbs build.
+def _obs_command_spec(name: str, dataset: str = "engine") -> tuple[str, dict]:
+    """Command name and default params for ``name`` on ``dataset``.
+
+    Isovalue and viewpoint come from the experiments' per-dataset
+    tables; a stored dataset gets the engine's.
+    """
+    from .bench.experiments import ISO_LEVELS, VIEWPOINTS
+
+    if dataset not in ISO_LEVELS:
+        dataset = "engine"
+    iso = {"isovalue": ISO_LEVELS[dataset], "scalar": "pressure",
+           "time_range": (0, 1)}
     vortex = {"threshold": -0.5, "time_range": (0, 1)}
     pathlines = {
         "seeds": [[-0.3, -0.2, 0.6], [0.2, 0.3, 0.9], [0.0, -0.4, 1.1]],
@@ -243,7 +253,8 @@ def _obs_command_spec(name: str) -> tuple[str, dict]:
         return aliases[name]
     defaults = {
         "iso-dataman": iso, "iso-simple": iso, "iso-progressive": iso,
-        "iso-viewer": {**iso, "viewpoint": (0.0, 0.0, -5.0), "max_triangles": 2000},
+        "iso-viewer": {**iso, "viewpoint": VIEWPOINTS[dataset],
+                       "max_triangles": 2000},
         "vortex-dataman": vortex, "vortex-simple": vortex,
         "vortex-streamed": {**vortex, "batch_cells": 16},
         "pathlines-dataman": pathlines, "pathlines-simple": pathlines,
@@ -320,7 +331,8 @@ def _extract_main(args: list[str]) -> int:
         print(f"usage: {USAGE['extract']}")
         return 2
     try:
-        command, params = _obs_command_spec(positional[0])
+        command, params = _obs_command_spec(
+            positional[0], str(flags.get("data", "engine")))
     except KeyError:
         print(f"unknown command {positional[0]!r}; try `python -m repro commands`")
         return 2
@@ -411,7 +423,8 @@ def _trace_main(args: list[str]) -> int:
         print(f"usage: {USAGE['trace']}")
         return 2
     try:
-        command, params = _obs_command_spec(positional[0])
+        command, params = _obs_command_spec(
+            positional[0], str(flags.get("dataset", "engine")))
     except KeyError:
         print(f"unknown command {positional[0]!r}; try `python -m repro commands`")
         return 2
@@ -447,7 +460,8 @@ def _stats_main(args: list[str]) -> int:
         print(f"usage: {USAGE['stats']}")
         return 2
     try:
-        command, params = _obs_command_spec(positional[0])
+        command, params = _obs_command_spec(
+            positional[0], str(flags.get("dataset", "engine")))
     except KeyError:
         print(f"unknown command {positional[0]!r}; try `python -m repro commands`")
         return 2
@@ -518,7 +532,8 @@ def _profile_main(args: list[str]) -> int:
         print(f"usage: {USAGE['profile']}")
         return 2
     try:
-        command, params = _obs_command_spec(positional[0])
+        command, params = _obs_command_spec(
+            positional[0], str(flags.get("dataset", "engine")))
     except KeyError:
         print(f"unknown command {positional[0]!r}; try `python -m repro commands`")
         return 2
@@ -570,7 +585,8 @@ def _critical_path_main(args: list[str]) -> int:
         print(f"usage: {USAGE['critical-path']}")
         return 2
     try:
-        command, params = _obs_command_spec(positional[0])
+        command, params = _obs_command_spec(
+            positional[0], str(flags.get("data", "engine")))
     except KeyError:
         print(f"unknown command {positional[0]!r}; try `python -m repro commands`")
         return 2

@@ -15,6 +15,7 @@ nested-dict snapshot (`snapshot`) for attaching to results.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Any, Iterable, Mapping
 
 __all__ = [
@@ -23,6 +24,8 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "LATENCY_BUCKETS",
+    "bucket_index",
+    "bucket_quantile",
     "render_prometheus",
 ]
 
@@ -32,6 +35,50 @@ LATENCY_BUCKETS = (
     0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0,
     100.0, 250.0, 500.0, 1000.0,
 )
+
+
+def bucket_index(bounds: tuple[float, ...], value: float) -> int:
+    """Index of the first bound ``>= value``; ``len(bounds)`` = overflow.
+
+    NaN compares false against every bound, so it lands in the overflow
+    bucket, as does ``+inf`` (unless a bound is ``+inf`` itself).
+    """
+    if value != value:
+        return len(bounds)
+    return bisect_left(bounds, value)
+
+
+def bucket_quantile(
+    bounds: tuple[float, ...], counts: list[int], n: int, q: float
+) -> float:
+    """Estimate the ``q``-quantile (0..1) from ``n`` bucketed counts.
+
+    ``counts`` has one entry per bound plus the overflow bucket.  Linear
+    interpolation within the covering bucket, matching Prometheus's
+    ``histogram_quantile``: the first finite bucket interpolates from 0
+    (all recorded values are durations), and a quantile landing in the
+    implicit ``+Inf`` overflow bucket is clamped to the highest finite
+    bound — the histogram cannot say more than "beyond the last edge".
+    Returns ``nan`` when no observations have been recorded.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile must be in [0, 1], got {q}")
+    if n == 0:
+        return math.nan
+    rank = q * n
+    running = 0
+    for i, bound in enumerate(bounds):
+        prev_running = running
+        running += counts[i]
+        if running >= rank:
+            lower = bounds[i - 1] if i > 0 else min(0.0, bound)
+            in_bucket = counts[i]
+            if in_bucket == 0:  # rank == running == prev boundary
+                return lower
+            frac = (rank - prev_running) / in_bucket
+            return lower + (bound - lower) * frac
+    # Overflow (+Inf) bucket: clamp to the highest finite bound.
+    return bounds[-1]
 
 
 def _label_key(labels: Mapping[str, str] | None) -> tuple[tuple[str, str], ...]:
@@ -138,45 +185,15 @@ class Histogram(Metric):
         value = float(value)
         self.total += value
         self.n += 1
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
+        self.counts[bucket_index(self.bounds, value)] += 1
 
     @property
     def mean(self) -> float:
         return self.total / self.n if self.n else 0.0
 
     def quantile(self, q: float) -> float:
-        """Estimate the ``q``-quantile (0..1) from the bucket counts.
-
-        Linear interpolation within the covering bucket, matching
-        Prometheus's ``histogram_quantile``: the first finite bucket
-        interpolates from 0 (all recorded values are durations), and a
-        quantile landing in the implicit ``+Inf`` overflow bucket is
-        clamped to the highest finite bound — the histogram cannot say
-        more than "beyond the last edge".  Returns ``nan`` when no
-        observations have been recorded.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.n == 0:
-            return math.nan
-        rank = q * self.n
-        running = 0
-        for i, bound in enumerate(self.bounds):
-            prev_running = running
-            running += self.counts[i]
-            if running >= rank:
-                lower = self.bounds[i - 1] if i > 0 else min(0.0, bound)
-                in_bucket = self.counts[i]
-                if in_bucket == 0:  # rank == running == prev boundary
-                    return lower
-                frac = (rank - prev_running) / in_bucket
-                return lower + (bound - lower) * frac
-        # Overflow (+Inf) bucket: clamp to the highest finite bound.
-        return self.bounds[-1]
+        """Estimate the ``q``-quantile (0..1); see :func:`bucket_quantile`."""
+        return bucket_quantile(self.bounds, self.counts, self.n, q)
 
     def cumulative(self) -> list[tuple[float, int]]:
         """``(upper_bound, cumulative_count)`` pairs ending at +Inf."""

@@ -10,8 +10,8 @@ multi-tenant serving layer plugs into:
   which command class must sit under which threshold for which
   fraction of requests;
 * :class:`SLOTracker` — streaming ingestion of finished commands
-  (latency/runtime histograms with p50/p95/p99 via
-  :meth:`~repro.obs.metrics.Histogram.quantile`, good/bad counts,
+  (latency/runtime bucket counts with p50/p95/p99 via
+  :func:`~repro.obs.metrics.bucket_quantile`, good/bad counts,
   degraded-share accounting from :mod:`repro.faults` outcomes) with
   per-command *and* per-tenant rollups;
 * error-budget / burn-rate arithmetic over a simulated-time window —
@@ -24,11 +24,11 @@ the perf sentry (:mod:`repro.obs.sentry`) gate CI on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Any, Iterable
 
-from .metrics import Histogram
+from .metrics import bucket_index, bucket_quantile
 
 __all__ = [
     "SLO_LATENCY_BUCKETS",
@@ -76,54 +76,30 @@ class SLODefinition:
     def matches(self, command: str) -> bool:
         return fnmatchcase(command, self.command_class)
 
-    def is_good(self, observation: "Observation") -> bool:
-        if self.metric == "degraded":
-            return not observation.degraded
-        value = getattr(observation, self.metric)
-        return value <= self.threshold
+
+#: observe() arguments an SLO metric can threshold, by position in the
+#: per-request value tuple; "degraded" has no value and maps to -1.
+_METRIC_SLOT = {"latency": 0, "runtime": 1, "queue_wait": 2, "ttfa": 3}
+_BOUNDS = tuple(sorted(float(b) for b in SLO_LATENCY_BUCKETS))
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One finished command as the tracker sees it."""
-
-    command: str
-    latency: float  #: submit → first data at the client [sim s]
-    runtime: float  #: submit → final package [sim s]
-    t: float  #: simulated completion time
-    degraded: bool = False
-    tenant: str = "default"
-    queue_wait: float = 0.0  #: submit → dispatch in a serving queue [sim s]
-    #: submit → first complete approximation [sim s]; equals ``latency``
-    #: for commands without progressive approximation markers.
-    ttfa: float = 0.0
-
-
-@dataclass
 class _Window:
-    """Good/bad counts plus the value histogram for one rollup cell."""
+    """Good/bad counts plus the value bucket counts for one rollup cell."""
 
-    good: int = 0
-    bad: int = 0
-    t_first: float = float("inf")
-    t_last: float = float("-inf")
-    values: Histogram | None = None
+    __slots__ = ("good", "bad", "t_first", "t_last", "counts")
+
+    def __init__(self) -> None:
+        self.good = 0
+        self.bad = 0
+        self.t_first = float("inf")
+        self.t_last = float("-inf")
+        #: per-bucket counts over ``SLO_LATENCY_BUCKETS`` plus overflow,
+        #: for SLOs with a value metric; every observation adds one.
+        self.counts: list[int] | None = None
 
     @property
     def total(self) -> int:
         return self.good + self.bad
-
-    def observe(self, good: bool, value: float | None, t: float) -> None:
-        if good:
-            self.good += 1
-        else:
-            self.bad += 1
-        self.t_first = min(self.t_first, t)
-        self.t_last = max(self.t_last, t)
-        if value is not None:
-            if self.values is None:
-                self.values = Histogram("slo_values", SLO_LATENCY_BUCKETS)
-            self.values.observe(value)
 
 
 @dataclass(frozen=True)
@@ -190,7 +166,14 @@ class SLOStatus:
 
 
 class SLOTracker:
-    """Streaming SLO accounting with per-command / per-tenant rollups."""
+    """Streaming SLO accounting with per-command / per-tenant rollups.
+
+    :meth:`observe` costs O(SLOs) per request, independent of how many
+    commands and tenants have been seen: which SLOs match a command is
+    resolved once per command name, each matching SLO's value bucket is
+    found once by bisection, and the three rollup cells (command,
+    tenant, all) are bumped in place.
+    """
 
     def __init__(self, slos: Iterable[SLODefinition] | None = None):
         self.slos: list[SLODefinition] = list(
@@ -199,9 +182,15 @@ class SLOTracker:
         names = [s.name for s in self.slos]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate SLO names in {names}")
-        #: (slo.name, dimension, key) -> window; dimension is
-        #: "command" | "tenant" | "all" (key "all" aggregates everything).
-        self._windows: dict[tuple[str, str, str], _Window] = {}
+        #: dimension -> key -> one window per SLO (``None`` until that
+        #: SLO first observes the key); dimension is "command" |
+        #: "tenant" | "all" (key "all" aggregates everything).
+        self._rows: dict[str, dict[str, list[_Window | None]]] = {
+            "command": {}, "tenant": {}, "all": {},
+        }
+        #: command -> ((slo index, value slot, threshold), ...) of the
+        #: SLOs whose command class matches it.
+        self._plans: dict[str, tuple[tuple[int, int, float], ...]] = {}
         self.observations = 0
 
     # --------------------------------------------------------- ingestion
@@ -216,25 +205,49 @@ class SLOTracker:
         queue_wait: float = 0.0,
         ttfa: float | None = None,
     ) -> None:
-        obs = Observation(
-            command, latency, runtime, t, degraded, tenant, queue_wait,
-            ttfa=latency if ttfa is None else ttfa,
-        )
         self.observations += 1
-        for slo in self.slos:
-            if not slo.matches(command):
-                continue
-            good = slo.is_good(obs)
-            value = None
-            if slo.metric in ("latency", "runtime", "queue_wait", "ttfa"):
-                value = getattr(obs, slo.metric)
-            for dim, key in (
-                ("command", command), ("tenant", tenant), ("all", "all")
-            ):
-                cell = self._windows.get((slo.name, dim, key))
+        plan = self._plans.get(command)
+        if plan is None:
+            plan = self._plans[command] = tuple(
+                (i, _METRIC_SLOT.get(slo.metric, -1), slo.threshold)
+                for i, slo in enumerate(self.slos) if slo.matches(command)
+            )
+        if not plan:
+            return
+        values = (latency, runtime, queue_wait,
+                  latency if ttfa is None else ttfa)
+        rows = []
+        for dim, key in (("command", command), ("tenant", tenant),
+                         ("all", "all")):
+            by_key = self._rows[dim]
+            row = by_key.get(key)
+            if row is None:
+                row = by_key[key] = [None] * len(self.slos)
+            rows.append(row)
+        for i, slot, threshold in plan:
+            if slot < 0:
+                good = not degraded
+            else:
+                value = values[slot]
+                good = value <= threshold
+                index = bucket_index(_BOUNDS, float(value))
+            for row in rows:
+                cell = row[i]
                 if cell is None:
-                    cell = self._windows[(slo.name, dim, key)] = _Window()
-                cell.observe(good, value, t)
+                    cell = row[i] = _Window()
+                if good:
+                    cell.good += 1
+                else:
+                    cell.bad += 1
+                if t < cell.t_first:
+                    cell.t_first = t
+                if t > cell.t_last:
+                    cell.t_last = t
+                if slot >= 0:
+                    counts = cell.counts
+                    if counts is None:
+                        counts = cell.counts = [0] * (len(_BOUNDS) + 1)
+                    counts[index] += 1
 
     def observe_result(self, result: Any, tenant: str | None = None) -> None:
         """Ingest one :class:`~repro.core.session.CommandResult`."""
@@ -255,42 +268,44 @@ class SLOTracker:
         )
 
     # -------------------------------------------------------- evaluation
-    def _status(self, slo: SLODefinition, dim: str, key: str) -> SLOStatus | None:
-        cell = self._windows.get((slo.name, dim, key))
+    def _status(self, i: int, dim: str, key: str) -> SLOStatus | None:
+        row = self._rows.get(dim, {}).get(key)
+        cell = row[i] if row is not None else None
         if cell is None or cell.total == 0:
             return None
-        h = cell.values
-        q = (lambda p: h.quantile(p)) if h is not None else (lambda p: 0.0)
+        counts, n = cell.counts, cell.total
+        q = ((lambda p: bucket_quantile(_BOUNDS, counts, n, p))
+             if counts is not None else (lambda p: 0.0))
         window = max(cell.t_last - cell.t_first, 0.0)
         return SLOStatus(
-            slo=slo, key=key, total=cell.total, good=cell.good,
+            slo=self.slos[i], key=key, total=cell.total, good=cell.good,
             p50=q(0.50), p95=q(0.95), p99=q(0.99), window_s=window,
         )
 
     def keys(self, dim: str = "command") -> list[str]:
-        return sorted({
-            key for (_name, d, key) in self._windows if d == dim
-        })
+        return sorted(self._rows.get(dim, ()))
 
     def status(
         self, dim: str = "command", slo_name: str | None = None
     ) -> list[SLOStatus]:
         """Evaluated rollups, one row per (SLO, key) with data."""
         out: list[SLOStatus] = []
-        for slo in self.slos:
+        for i, slo in enumerate(self.slos):
             if slo_name is not None and slo.name != slo_name:
                 continue
             for key in self.keys(dim):
-                st = self._status(slo, dim, key)
+                st = self._status(i, dim, key)
                 if st is not None:
                     out.append(st)
         return out
 
     def overall(self, slo_name: str) -> SLOStatus | None:
-        slo = next((s for s in self.slos if s.name == slo_name), None)
-        if slo is None:
+        i = next(
+            (i for i, s in enumerate(self.slos) if s.name == slo_name), None
+        )
+        if i is None:
             raise KeyError(f"unknown SLO {slo_name!r}")
-        return self._status(slo, "all", "all")
+        return self._status(i, "all", "all")
 
     def all_met(self) -> bool:
         return all(st.met for st in self.status("all"))

@@ -18,12 +18,25 @@ dispatches separate two of its consecutive dispatches — no starvation
 within a lane, with service share proportional to weight.
 
 Items are arbitrary objects (the server queues
-:class:`~repro.serve.server.ServeHandle`); :meth:`discard` supports
-O(1) cancellation of queued items via lazy tombstoning.
+:class:`~repro.serve.server.ServeHandle`); :meth:`discard` cancels a
+queued item by lazy tombstoning: it stays in its FIFO until a pop
+reaches it or the tenant has no live item left in that lane.
+
+Per-request cost does not depend on how many tenants are registered,
+only on how many are backlogged in the lane (``B``).  Each lane keeps
+bisect-maintained indexes of its backlogged tenants, and of those with
+credit left this round, by registration position.  So
+:meth:`~FairCommandQueue.put`, :meth:`~FairCommandQueue.get` and
+:meth:`~FairCommandQueue.discard` cost O(log B) Python steps; inserts,
+deletes and the copy that starts a new round add O(B) memmoves in C.
+A new round bumps an epoch instead of rewriting every tenant's credit
+(credit stamped with an older epoch reads as the full weight), and a
+tenant's per-lane FIFO is created on its first push into that lane.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from typing import Any
 
@@ -42,72 +55,111 @@ _DEAD = "_fairq_dead"
 _POPPED = "_fairq_popped"
 
 
-class _Lane:
-    """One priority lane: per-tenant FIFOs under weighted round-robin."""
+def _remove(index: list[int], pos: int) -> None:
+    """Drop ``pos`` from the sorted ``index`` if it is there."""
+    i = bisect_left(index, pos)
+    if i < len(index) and index[i] == pos:
+        del index[i]
 
-    __slots__ = ("queues", "order", "weight", "credit", "cursor", "live",
-                 "live_by")
+
+class _Backlog:
+    """One tenant's FIFO and WRR credit in one lane."""
+
+    __slots__ = ("items", "live", "credit", "epoch")
 
     def __init__(self) -> None:
-        self.queues: dict[str, deque] = {}
-        self.order: list[str] = []
-        self.weight: dict[str, int] = {}
-        self.credit: dict[str, int] = {}
+        self.items: deque = deque()
+        self.live = 0
+        self.credit = 0
+        #: round the credit was last spent in; older means full weight.
+        self.epoch = -1
+
+
+class _Lane:
+    """One priority lane: per-tenant FIFOs under weighted round-robin.
+
+    Tenants are their registration positions in the queue-wide
+    ``order``.  ``backlog`` holds the positions with live items and
+    ``eligible`` those of them with credit left this round, both sorted,
+    so the WRR cursor's next tenant is one bisection away.
+    """
+
+    __slots__ = ("order", "weight", "tenants", "backlog", "eligible",
+                 "epoch", "cursor", "live")
+
+    def __init__(self, order: list[str], weight: list[int]) -> None:
+        self.order = order
+        self.weight = weight
+        self.tenants: dict[int, _Backlog] = {}
+        self.backlog: list[int] = []
+        self.eligible: list[int] = []
+        self.epoch = 0
         self.cursor = 0
         self.live = 0
-        self.live_by: dict[str, int] = {}
 
-    def add_tenant(self, name: str, weight: int) -> None:
-        if name in self.queues:
-            return
-        self.queues[name] = deque()
-        self.order.append(name)
-        self.weight[name] = weight
-        self.credit[name] = weight
-        self.live_by[name] = 0
-
-    def push(self, name: str, item: Any) -> None:
-        self.queues[name].append(item)
-        self.live_by[name] += 1
+    def push(self, pos: int, item: Any) -> None:
+        b = self.tenants.get(pos)
+        if b is None:
+            b = self.tenants[pos] = _Backlog()
+        b.items.append(item)
+        b.live += 1
         self.live += 1
+        if b.live == 1:
+            insort(self.backlog, pos)
+            if b.epoch != self.epoch or b.credit > 0:
+                insort(self.eligible, pos)
 
-    def discard_one(self, name: str) -> None:
-        self.live_by[name] -= 1
+    def discard_one(self, pos: int) -> None:
+        b = self.tenants[pos]
+        b.live -= 1
         self.live -= 1
+        if not b.live:
+            b.items.clear()  # only tombstones are left
+            _remove(self.backlog, pos)
+            _remove(self.eligible, pos)
 
     def backlogged(self) -> list[str]:
-        return [t for t in self.order if self.live_by[t]]
+        return [self.order[p] for p in self.backlog]
 
     def pop(self) -> Any:
-        """The WRR-next live item; ``None`` when the lane is empty."""
+        """The WRR-next live item; ``None`` when the lane is empty.
+
+        The next tenant is the first one at or after the cursor, in
+        cyclic registration order, that is backlogged with credit left.
+        When no backlogged tenant has credit, a new round starts and
+        every tenant's credit is its weight again.  The cursor stays on
+        a tenant that keeps credit and backlog, else moves past it.
+        """
         if self.live == 0:
             return None
-        order, queues = self.order, self.queues
-        credit, live_by = self.credit, self.live_by
-        n = len(order)
-        scanned = 0
-        while True:
-            if scanned >= n:
-                # Full rotation with no credit left anywhere: new round.
-                weight = self.weight
-                for t in order:
-                    credit[t] = weight[t]
-                scanned = 0
-            t = order[self.cursor]
-            q = queues[t]
-            # Purge tombstoned items at the head (lazy cancellation).
-            while q and getattr(q[0], _DEAD, False):
-                q.popleft()
-            if live_by[t] and credit[t] > 0:
-                item = q.popleft()
-                live_by[t] -= 1
-                self.live -= 1
-                credit[t] -= 1
-                if credit[t] == 0 or not live_by[t]:
-                    self.cursor = (self.cursor + 1) % n
-                return item
-            self.cursor = (self.cursor + 1) % n
-            scanned += 1
+        eligible = self.eligible
+        if not eligible:
+            self.epoch += 1
+            eligible = self.eligible = self.backlog[:]
+        i = bisect_left(eligible, self.cursor)
+        if i == len(eligible):
+            i = 0
+        pos = eligible[i]
+        b = self.tenants[pos]
+        q = b.items
+        # Purge tombstoned items at the head (lazy cancellation).
+        while getattr(q[0], _DEAD, False):
+            q.popleft()
+        item = q.popleft()
+        b.live -= 1
+        self.live -= 1
+        credit = (b.credit if b.epoch == self.epoch else self.weight[pos]) - 1
+        b.credit = credit
+        b.epoch = self.epoch
+        if credit == 0 or not b.live:
+            self.cursor = (pos + 1) % len(self.order)
+            del eligible[i]
+            if not b.live:
+                q.clear()  # only tombstones are left
+                _remove(self.backlog, pos)
+        else:
+            self.cursor = pos
+        return item
 
 
 class FairCommandQueue:
@@ -124,7 +176,13 @@ class FairCommandQueue:
     def __init__(self, env: Environment, n_lanes: int = N_LANES,
                  record_pops: bool = False):
         self.env = env
-        self._lanes = [_Lane() for _ in range(n_lanes)]
+        #: tenants in registration order, their positions and weights;
+        #: shared by every lane.
+        self._order: list[str] = []
+        self._pos: dict[str, int] = {}
+        self._weight: list[int] = []
+        self._lanes = [_Lane(self._order, self._weight)
+                       for _ in range(n_lanes)]
         self._getters: deque[Event] = deque()
         #: optional dispatch audit log for the fairness property suite:
         #: (lane, tenant, tuple-of-backlogged-tenants-before-this-pop).
@@ -136,23 +194,28 @@ class FairCommandQueue:
 
     def add_tenant(self, name: str, weight: int = 1) -> None:
         """Register ``name`` in every lane's rotation (idempotent)."""
-        for lane in self._lanes:
-            lane.add_tenant(name, weight)
+        if name in self._pos:
+            return
+        if weight < 1:
+            raise ValueError(f"weight must be >= 1, got {weight}")
+        self._pos[name] = len(self._order)
+        self._order.append(name)
+        self._weight.append(weight)
 
     def backlog(self, lane: int | None = None) -> dict[str, int]:
         """Live queued items per tenant (one lane or all lanes summed)."""
         lanes = self._lanes if lane is None else [self._lanes[lane]]
         out: dict[str, int] = {}
         for ln in lanes:
-            for t, n in ln.live_by.items():
-                if n:
-                    out[t] = out.get(t, 0) + n
+            for pos in ln.backlog:
+                t = self._order[pos]
+                out[t] = out.get(t, 0) + ln.tenants[pos].live
         return out
 
     # ------------------------------------------------------------ put/get
     def put(self, tenant: str, lane: int, item: Any) -> None:
         """Enqueue ``item`` for ``tenant`` in ``lane``."""
-        self._lanes[lane].push(tenant, item)
+        self._lanes[lane].push(self._pos[tenant], item)
         while self._getters:
             getter = self._getters.popleft()
             if getter.triggered:
@@ -175,11 +238,11 @@ class FairCommandQueue:
         return evt
 
     def discard(self, tenant: str, lane: int, item: Any) -> None:
-        """Cancel a queued item in O(1) (tombstone; purged on pop)."""
+        """Cancel a queued item (tombstone; purged on pop)."""
         if getattr(item, _DEAD, False):
             return
         setattr(item, _DEAD, True)
-        self._lanes[lane].discard_one(tenant)
+        self._lanes[lane].discard_one(self._pos[tenant])
 
     # ------------------------------------------------------------ helpers
     @staticmethod

@@ -155,3 +155,35 @@ def test_profile_rejects_bad_arguments(capsys):
     assert cli_main(["profile", "iso", "--top", "0"]) == 2
     assert cli_main(["profile", "iso", "--top", "abc"]) == 2
     assert cli_main(["profile", "iso", "--workers", "0"]) == 2
+
+
+@pytest.mark.parametrize("dataset", ["engine", "propfan"])
+@pytest.mark.parametrize(
+    "alias", ["iso", "iso-dataman", "iso-simple", "iso-progressive",
+              "iso-viewer"],
+)
+def test_extract_iso_default_is_non_empty_on_every_dataset(
+    alias, dataset, capsys
+):
+    # The default isovalue is per dataset: the engine's -0.3 lies outside
+    # propfan's pressure range and used to give an empty mesh there.
+    args = ["extract", alias, "--data", dataset, "--executor", "serial",
+            "--workers", "1"]
+    assert cli_main(args) == 0
+    out = capsys.readouterr().out
+    line = next(ln for ln in out.splitlines() if ln.startswith("result:"))
+    n_triangles = int(line.split("mesh with ")[1].split()[0])
+    assert n_triangles > 0, line
+
+
+def test_engine_iso_default_stays_at_sentry_level():
+    from repro.__main__ import _obs_command_spec
+    from repro.bench.experiments import ISO_LEVELS
+
+    assert ISO_LEVELS["engine"] == -0.3
+    for alias in ("iso", "iso-dataman", "iso-viewer"):
+        assert _obs_command_spec(alias)[1]["isovalue"] == -0.3
+    assert _obs_command_spec("iso", "propfan")[1]["isovalue"] == (
+        ISO_LEVELS["propfan"])
+    # A stored dataset falls back to the engine's level.
+    assert _obs_command_spec("iso", "some/store")[1]["isovalue"] == -0.3

@@ -1,5 +1,7 @@
 """Unit tests for the weighted-fair multi-lane command queue."""
 
+import pytest
+
 from repro.des import Environment
 from repro.serve import LANE_BACKGROUND, LANE_INTERACTIVE, LANE_NORMAL
 from repro.serve.queue import FairCommandQueue
@@ -150,3 +152,10 @@ def test_idle_tenant_keeps_no_stale_credit_advantage():
     q.put("b", LANE_NORMAL, Item("b", 0))
     got = [it.tenant for it in drain(q, 3)]
     assert got.count("b") == 1
+
+
+def test_weight_below_one_is_rejected():
+    _, q = make_queue([])
+    with pytest.raises(ValueError):
+        q.add_tenant("zero", 0)
+    assert q.backlog() == {}
