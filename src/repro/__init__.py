@@ -19,12 +19,19 @@ Quick start::
 
 See DESIGN.md for the architecture and EXPERIMENTS.md for the
 paper-figure reproductions.
+
+The public names resolve on first access: ``import repro`` loads no
+NumPy or SciPy, so an entry point pays only for the layers it uses.
 """
 
-from .core.session import CommandResult, ViracochaSession
-from .parallel import ParallelExtractor
-from .synth.engine import build_engine
-from .synth.propfan import build_propfan
+from ._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".core.session": ("CommandResult", "ViracochaSession"),
+    ".parallel": ("ParallelExtractor",),
+    ".synth.engine": ("build_engine",),
+    ".synth.propfan": ("build_propfan",),
+})
 
 __version__ = "1.0.0"
 

@@ -1,64 +1,42 @@
-"""The Viracocha framework core (layers 1 and 2) and the session facade."""
+"""The Viracocha framework core (layers 1 and 2) and the session facade.
 
-from .costs import CostModel, DEFAULT_COSTS
-from .messages import (
-    CommandComplete,
-    CommandRequest,
-    HEADER_BYTES,
-    ProgressUpdate,
-    ResultPacket,
-    WorkAssignment,
-    WorkerDone,
-)
-from .channels import InstantChannel, Mailbox, SimMPIChannel, SimTCPChannel
-from .commands import (
-    Command,
-    CommandContext,
-    CommandRegistry,
-    Compute,
-    Emit,
-    Load,
-    Prefetch,
-    lpt_order,
-    plan_block_assignments,
-    plan_block_tasks,
-    split_balanced,
-    split_round_robin,
-)
-from .worker import Worker, WorkerShare
-from .scheduler import RunRecord, Scheduler
-from .session import CommandResult, ViracochaSession
+Exports resolve on first access, so importing one core module (the
+channels, say) does not pull in the session and everything behind it.
+"""
 
-__all__ = [
-    "CostModel",
-    "DEFAULT_COSTS",
-    "CommandComplete",
-    "CommandRequest",
-    "HEADER_BYTES",
-    "ProgressUpdate",
-    "ResultPacket",
-    "WorkAssignment",
-    "WorkerDone",
-    "InstantChannel",
-    "Mailbox",
-    "SimMPIChannel",
-    "SimTCPChannel",
-    "Command",
-    "CommandContext",
-    "CommandRegistry",
-    "Compute",
-    "Emit",
-    "Load",
-    "Prefetch",
-    "lpt_order",
-    "plan_block_assignments",
-    "plan_block_tasks",
-    "split_balanced",
-    "split_round_robin",
-    "Worker",
-    "WorkerShare",
-    "RunRecord",
-    "Scheduler",
-    "CommandResult",
-    "ViracochaSession",
-]
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    ".costs": ("CostModel", "DEFAULT_COSTS"),
+    ".messages": (
+        "CommandComplete",
+        "CommandRequest",
+        "HEADER_BYTES",
+        "ProgressUpdate",
+        "ResultPacket",
+        "WorkAssignment",
+        "WorkerDone",
+    ),
+    ".channels": ("InstantChannel", "Mailbox", "SimMPIChannel", "SimTCPChannel"),
+    ".commands": (
+        "Command",
+        "CommandContext",
+        "CommandRegistry",
+        "Compute",
+        "Emit",
+        "Load",
+        "Prefetch",
+        "lpt_order",
+        "plan_block_assignments",
+        "plan_block_tasks",
+        "split_balanced",
+        "split_round_robin",
+    ),
+    ".worker": ("Worker", "WorkerShare"),
+    ".scheduler": ("RunRecord", "Scheduler"),
+    ".session": ("CommandResult", "ViracochaSession"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
+
+__all__ = [name for names in _EXPORTS.values() for name in names]

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .block import StructuredBlock
 
@@ -447,7 +446,7 @@ class CellLocator:
         self.block = block
         self.slack = slack
         self._centers = None
-        self._tree: cKDTree | None = None
+        self._tree = None  # scipy.spatial.cKDTree, built on first locate
         self._bounds = block.bounds()
         # Cell corner coordinates gathered once, vectorized: repeated
         # per-cell fancy indexing dominated tracing profiles otherwise.
@@ -463,6 +462,10 @@ class CellLocator:
     # ------------------------------------------------------------ build
     def _ensure_tree(self) -> None:
         if self._tree is None:
+            # Deferred: scipy.spatial is most of the import cost of the
+            # grids layer, and only a point location ever needs it.
+            from scipy.spatial import cKDTree
+
             from .geometry import cell_centers
 
             centers = cell_centers(self.block)

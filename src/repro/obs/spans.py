@@ -304,14 +304,16 @@ class SpanTracer:
 
     def since(self, mark: int) -> list[Span]:
         spans = self.spans
-        if not spans:
+        # Span ids are contiguous and the newest is ``_next_id - 1``,
+        # across ring eviction and clear(), so the spans begun since
+        # ``mark`` are the last ``_next_id - mark`` retained ones.  Walk
+        # from the tail: the cost is the slice, not the whole ring.
+        n = min(self._next_id - mark, len(spans))
+        if n <= 0:
             return []
-        # Retained spans have contiguous ids; anything older than the
-        # head was evicted by the ring buffer (or cleared).
-        start = mark - spans[0].span_id
-        if start <= 0:
-            return list(spans)
-        return list(islice(spans, start, None))
+        out = list(islice(reversed(spans), n))
+        out.reverse()
+        return out
 
     def clear(self) -> None:
         self.spans.clear()

@@ -5,8 +5,11 @@ cluster; the framework here additionally fans extraction out to real
 local cores (:mod:`repro.parallel.pool`).  Worker processes must not
 each re-read and re-parse the dataset, so this module places every
 block's serialized payload — the exact ``<f4`` on-disk layout of
-:mod:`repro.io.format` — into :mod:`multiprocessing.shared_memory`
-segments.  Workers attach by name and reconstruct zero-copy
+:mod:`repro.io.format` — into one :mod:`multiprocessing.shared_memory`
+segment, at offsets the manifest records.  One segment, not one per
+block, keeps a store of thousands of blocks within the open-file and
+mapping limits of every process that attaches it.  Workers attach by
+name and reconstruct zero-copy
 :class:`~repro.grids.block.LazyStructuredBlock` views over the shared
 pages: no pickling of arrays, no per-worker copies, fields upcast to
 float64 only when an algorithm touches them.
@@ -18,7 +21,8 @@ per sweep point.  float64 matters: results must stay byte-identical to
 a serial run that computes λ2 in place.
 
 Ownership: the process that creates the store owns the segments and is
-the only one that unlinks them (workers attach/close only).  Under the
+the only one that unlinks them (workers attach/close only); a build
+that fails unlinks whatever it had created before re-raising.  Under the
 default ``fork`` start method all processes share one resource-tracker,
 whose registry is a set — duplicate registrations from workers collapse
 and the parent's single :meth:`unlink` retires each name cleanly, so
@@ -28,7 +32,7 @@ the interpreter exits without leaked ``shared_memory`` warnings.
 from __future__ import annotations
 
 from multiprocessing import shared_memory
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -37,6 +41,11 @@ from ..io.dataset_io import DatasetStore
 from ..io.format import block_from_buffer, block_to_bytes
 
 __all__ = ["ShmBlockStore"]
+
+#: block payloads start on this boundary inside the shared segment, so
+#: their arrays keep the alignment a page-aligned segment of their own
+#: gave them.
+_ALIGN = 64
 
 
 def _new_segment(payload_nbytes: int) -> shared_memory.SharedMemory:
@@ -67,8 +76,10 @@ class ShmBlockStore:
     def __init__(self) -> None:
         self.name: str = ""
         self.times: list[float] = []
-        self._segments: dict[tuple[int, int], shared_memory.SharedMemory] = {}
-        self._payload_sizes: dict[tuple[int, int], int] = {}
+        #: the one segment holding every block payload.
+        self._blocks: shared_memory.SharedMemory | None = None
+        #: (time, block) -> (offset, nbytes) of its payload in ``_blocks``.
+        self._extents: dict[tuple[int, int], tuple[int, int]] = {}
         self._derived: dict[
             tuple[int, int], dict[str, tuple[shared_memory.SharedMemory, tuple]]
         ] = {}
@@ -77,6 +88,42 @@ class ShmBlockStore:
         self._closed = False
 
     # ------------------------------------------------------ construction
+    @classmethod
+    def _place(
+        cls,
+        name: str,
+        times: Sequence[float],
+        handles: dict[int, list[BlockHandle]],
+        keys: Sequence[tuple[int, int]],
+        sizes: Sequence[int],
+        payload: Callable[[int], Any],
+    ) -> "ShmBlockStore":
+        """Create the store: one segment laid out for ``sizes``, block
+        ``i`` filled from the buffer ``payload(i)`` returns."""
+        self = cls()
+        self._owner = True
+        self.name = name
+        self.times = list(times)
+        self._handles = handles
+        extents = []
+        end = 0
+        for nbytes in sizes:
+            extents.append((end, nbytes))
+            end += -(-nbytes // _ALIGN) * _ALIGN
+        self._extents = dict(zip(keys, extents))
+        self._blocks = _new_segment(end)
+        try:
+            for i, (start, nbytes) in enumerate(extents):
+                buf = memoryview(payload(i))
+                try:
+                    self._blocks.buf[start : start + nbytes] = buf
+                finally:
+                    buf.release()
+        except BaseException:
+            self.cleanup()
+            raise
+        return self
+
     @classmethod
     def from_store(
         cls, store: DatasetStore, time_indices: Iterable[int] | None = None
@@ -87,25 +134,18 @@ class ShmBlockStore:
         fast path: file pages are copied straight into the segment, with
         no ``BytesIO``, no parse and no float64 upcast in the parent.
         """
-        self = cls()
-        self._owner = True
-        self.name = store.name
-        self.times = store.times
         indices = list(time_indices) if time_indices is not None else list(
             range(store.n_timesteps)
         )
-        for t in indices:
-            self._handles[t] = store.handles(t)
-            for b in range(store.n_blocks):
-                buf = store.block_buffer(t, b)
-                try:
-                    shm = _new_segment(len(buf))
-                    shm.buf[: len(buf)] = buf
-                finally:
-                    buf.release()
-                self._segments[(t, b)] = shm
-                self._payload_sizes[(t, b)] = shm.size
-        return self
+        keys = [(t, b) for t in indices for b in range(store.n_blocks)]
+        return cls._place(
+            store.name,
+            store.times,
+            {t: store.handles(t) for t in indices},
+            keys,
+            [store.block_path(t, b).stat().st_size for t, b in keys],
+            lambda i: store.block_buffer(*keys[i]),
+        )
 
     @classmethod
     def from_source(
@@ -114,37 +154,41 @@ class ShmBlockStore:
         """Load any :class:`~repro.dms.source.BlockSource` into shm.
 
         Sources that expose ``get_bytes`` (the :class:`StoreSource`
-        zero-copy path) feed segments directly from their buffers;
+        zero-copy path) feed the segment directly from their buffers;
         others (synthetic generators) serialize each block once through
         :func:`~repro.io.format.block_to_bytes` — note that casts
         in-memory float64 fields to the canonical ``<f4`` layout.
         """
-        self = cls()
-        self._owner = True
-        self.name = source.name
-        self.times = list(source.times)
         indices = list(time_indices) if time_indices is not None else list(
             range(source.n_timesteps)
         )
+        items = [(t, item) for t in indices for item in source.item_sequence(t)]
+        keys = [(t, int(item.param("block"))) for t, item in items]
         get_bytes = getattr(source, "get_bytes", None)
-        for t in indices:
-            self._handles[t] = source.handles(t)
-            for item in source.item_sequence(t):
-                b = int(item.param("block"))
-                if get_bytes is not None:
-                    buf = memoryview(get_bytes(item))
-                    try:
-                        shm = _new_segment(len(buf))
-                        shm.buf[: len(buf)] = buf
-                    finally:
-                        buf.release()
-                else:
-                    payload = block_to_bytes(source.get(item))
-                    shm = _new_segment(len(payload))
-                    shm.buf[: len(payload)] = payload
-                self._segments[(t, b)] = shm
-                self._payload_sizes[(t, b)] = shm.size
-        return self
+        if get_bytes is not None:
+            sizes = [len(get_bytes(item)) for _t, item in items]
+
+            def payload(i: int) -> Any:
+                return get_bytes(items[i][1])
+
+        else:
+            # The segment is sized before it is filled, so each block is
+            # serialized once up front and dropped once it is copied.
+            staged: list[Any] = [block_to_bytes(source.get(item)) for _t, item in items]
+            sizes = [len(data) for data in staged]
+
+            def payload(i: int) -> Any:
+                data, staged[i] = staged[i], None
+                return data
+
+        return cls._place(
+            source.name,
+            source.times,
+            {t: source.handles(t) for t in indices},
+            keys,
+            sizes,
+            payload,
+        )
 
     @classmethod
     def attach(cls, manifest: Mapping[str, Any]) -> "ShmBlockStore":
@@ -153,9 +197,8 @@ class ShmBlockStore:
         self.name = manifest["name"]
         self.times = list(manifest["times"])
         self._handles = {int(t): list(hs) for t, hs in manifest["handles"].items()}
-        for key, (seg_name, nbytes) in manifest["segments"].items():
-            self._segments[key] = shared_memory.SharedMemory(name=seg_name)
-            self._payload_sizes[key] = nbytes
+        self._blocks = shared_memory.SharedMemory(name=manifest["segment"])
+        self._extents = dict(manifest["extents"])
         for key, fields in manifest["derived"].items():
             per_block = {}
             for fname, (seg_name, shape) in fields.items():
@@ -172,10 +215,8 @@ class ShmBlockStore:
             "name": self.name,
             "times": list(self.times),
             "handles": {t: list(hs) for t, hs in self._handles.items()},
-            "segments": {
-                key: (shm.name, self._payload_sizes[key])
-                for key, shm in self._segments.items()
-            },
+            "segment": self._blocks.name,
+            "extents": dict(self._extents),
             "derived": {
                 key: {
                     fname: (shm.name, tuple(shape))
@@ -195,7 +236,7 @@ class ShmBlockStore:
         field produce bytes identical to computing it in place.
         """
         key = (time_index, block_id)
-        if key not in self._segments:
+        if key not in self._extents:
             raise KeyError(f"no block t={time_index} b={block_id} in store")
         data = np.ascontiguousarray(data, dtype=np.float64)
         shm = _new_segment(data.nbytes)
@@ -243,10 +284,11 @@ class ShmBlockStore:
         """
         key = (time_index, block_id)
         try:
-            shm = self._segments[key]
+            offset, nbytes = self._extents[key]
         except KeyError:
             raise KeyError(f"no block t={time_index} b={block_id} in store") from None
-        block = block_from_buffer(shm.buf.toreadonly(), lazy=True)
+        view = self._blocks.buf[offset : offset + nbytes].toreadonly()
+        block = block_from_buffer(view, lazy=True)
         for fname, (dshm, shape) in self._derived.get(key, {}).items():
             n = 1
             for dim in shape:
@@ -264,7 +306,7 @@ class ShmBlockStore:
             ) from None
 
     def keys(self) -> list[tuple[int, int]]:
-        return sorted(self._segments)
+        return sorted(self._extents)
 
     @property
     def time_indices(self) -> list[int]:
@@ -283,18 +325,19 @@ class ShmBlockStore:
     @property
     def nbytes(self) -> int:
         """Total shared bytes (block payloads plus derived fields)."""
-        total = sum(shm.size for shm in self._segments.values())
+        total = sum(nbytes for _offset, nbytes in self._extents.values())
         for fields in self._derived.values():
             total += sum(shm.size for shm, _shape in fields.values())
         return total
 
     @property
     def n_segments(self) -> int:
-        return len(self._segments) + sum(len(f) for f in self._derived.values())
+        return len(list(self._all_segments()))
 
     # ----------------------------------------------------------- cleanup
     def _all_segments(self) -> Iterable[shared_memory.SharedMemory]:
-        yield from self._segments.values()
+        if self._blocks is not None:
+            yield self._blocks
         for fields in self._derived.values():
             for shm, _shape in fields.values():
                 yield shm
@@ -337,7 +380,7 @@ class ShmBlockStore:
 
     def __repr__(self) -> str:
         return (
-            f"ShmBlockStore(name={self.name!r}, blocks={len(self._segments)}, "
+            f"ShmBlockStore(name={self.name!r}, blocks={len(self._extents)}, "
             f"derived={sum(len(f) for f in self._derived.values())}, "
             f"nbytes={self.nbytes})"
         )

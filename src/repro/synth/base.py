@@ -124,7 +124,9 @@ class DatasetSpec:
         return self.n_timesteps * self.bytes_per_point
 
     def block_bytes(self, block_id: int) -> int:
-        return self.modeled_block_bytes[block_id]
+        # One block's entry of modeled_block_bytes, without building the
+        # whole list: the DMS asks this on every request.
+        return _points(self.modeled_shapes[block_id]) * self.bytes_per_point
 
 
 class SyntheticDataset:

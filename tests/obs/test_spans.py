@@ -1,6 +1,10 @@
 """Unit tests for the hierarchical span tracer."""
 
+from itertools import islice
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.des.trace import TraceRecorder
 from repro.obs import NULL_SPAN, SpanTracer
@@ -128,6 +132,50 @@ def test_mark_and_since_slice_runs():
     tracer.clear()
     assert len(tracer) == 0
     assert tracer.get(a.span_id) is None
+
+
+def _since_by_head_slice(tracer: SpanTracer, mark: int) -> list:
+    """The original head-walk slice, kept as the oracle for since()."""
+    spans = tracer.spans
+    if not spans:
+        return []
+    start = mark - spans[0].span_id
+    if start <= 0:
+        return list(spans)
+    return list(islice(spans, start, None))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cap=st.one_of(st.none(), st.integers(1, 6)),
+    steps=st.lists(st.sampled_from(["begin", "mark", "clear"]), max_size=40),
+    stale=st.integers(0, 3),
+)
+def test_since_matches_head_slice(cap, steps, stale):
+    """Tail walk == head slice under eviction, clear() and stale marks."""
+    tracer = SpanTracer(max_spans=cap)
+    marks = [0, -stale]
+    for step in steps:
+        if step == "begin":
+            tracer.begin("command", t=0.0)
+        elif step == "mark":
+            marks.append(tracer.mark())
+        else:
+            tracer.clear()
+        for mark in marks + [tracer.mark(), tracer.mark() + 1]:
+            assert tracer.since(mark) == _since_by_head_slice(tracer, mark)
+
+
+def test_since_with_mark_older_than_ring_head():
+    tracer = SpanTracer(max_spans=3)
+    mark = tracer.mark()
+    spans = [tracer.begin("command", t=float(i)) for i in range(5)]
+    assert tracer.since(mark) == spans[-3:]
+    assert tracer.since(spans[3].span_id) == spans[3:]
+    tracer.clear()
+    later = tracer.begin("command", t=9.0)
+    assert tracer.since(mark) == [later]
+    assert tracer.since(tracer.mark()) == []
 
 
 def test_high_water_tracks_peak_residency():

@@ -77,21 +77,28 @@ def test_dynamic_pathlines_demand_order_preserved(
 def test_dynamic_share_accounting(engine_store):
     with ParallelExtractor(engine_store, workers=4, executor="process") as ext:
         res = ext.run("iso-dataman", params=ISO, schedule="dynamic")
+        n_tasks = len(
+            ext.registry.create("iso-dataman").plan_tasks(ext._context(dict(ISO)))
+        )
     assert res.schedule == "dynamic"
     assert res.idle_seconds >= 0.0
     assert res.steals >= 0
     for share in res.shares:
         assert share.idle_s >= 0.0
         assert share.steals >= 0
-        assert share.tasks  # per-task records feed the cost profile
-        for task in share.tasks:
+        # Work stealing promises no worker a task: one forked last may
+        # find the ticket counter drained.  An empty share did nothing.
+        if not share.tasks:
+            assert not share.payloads
+            assert share.n_loads == 0
+        for task in share.tasks or []:
             assert isinstance(task, TaskResult)
             assert task.seconds >= 0.0
-    # Every canonical task index executed exactly once.
+    # Every planned task executed exactly once, trailing ones included.
     indices = sorted(
         t.task_index for s in res.shares for t in (s.tasks or [])
     )
-    assert indices == list(range(len(indices)))
+    assert indices == list(range(n_tasks))
 
 
 def test_dynamic_metrics_exported(engine_store):

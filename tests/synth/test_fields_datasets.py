@@ -136,6 +136,16 @@ def test_propfan_full_spec_matches_table1_size():
     )
 
 
+@pytest.mark.parametrize("which", ["engine", "propfan"])
+def test_block_bytes_matches_modeled_list(which, request):
+    spec = request.getfixturevalue(which).spec
+    table = spec.modeled_block_bytes
+    assert [spec.block_bytes(b) for b in range(spec.n_blocks)] == table
+    assert spec.block_bytes(-1) == table[-1]
+    with pytest.raises(IndexError):
+        spec.block_bytes(spec.n_blocks)
+
+
 def test_engine_level_builds_all_blocks(engine):
     level = engine.level(0)
     assert len(level) == 23
